@@ -49,6 +49,7 @@ Metric families (on top of everything the pipeline already counts)::
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 import time
@@ -73,6 +74,7 @@ __all__ = ["BundleCache", "ServeApp", "ServeDaemon", "parse_bundle_specs"]
 #: Maximum accepted request-body size; an /analyze body is a few dozen
 #: bytes, so anything huge is a mistake or abuse.
 _MAX_BODY_BYTES = 64 * 1024
+_BODY_TOO_LARGE = f"request body exceeds {_MAX_BODY_BYTES} bytes"
 
 #: How many distinct query responses the byte cache keeps.
 _RESULT_CACHE_SIZE = 256
@@ -520,8 +522,7 @@ class ServeApp:
 
     def _parse_body(self, body: bytes) -> dict[str, Any]:
         if len(body) > _MAX_BODY_BYTES:
-            raise QueryError(f"request body exceeds {_MAX_BODY_BYTES} "
-                             f"bytes", status=400)
+            raise QueryError(_BODY_TOO_LARGE, status=400)
         try:
             params = json.loads(body.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as bad:
@@ -578,6 +579,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Thin HTTP shim: framing, metrics, and nothing else."""
 
     protocol_version = "HTTP/1.1"
+    # Responses are written whole (see _respond), so Nagle only delays
+    # them: it holds a send() back until the client ACKs the last one,
+    # and a keep-alive client delays that ACK by 40 ms or more.
+    disable_nagle_algorithm = True
     app: ServeApp  # set on the subclass built by ServeDaemon
 
     #: Endpoint label for metrics: known paths verbatim, the rest pooled
@@ -585,6 +590,12 @@ class _Handler(BaseHTTPRequestHandler):
     _ENDPOINTS = frozenset({"/healthz", "/bundles", "/metrics",
                             "/analyze", "/validate", "/live",
                             "/debug/status", "/debug/profile"})
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client hung up mid-exchange: nothing to answer
 
     def _respond(self, method: str) -> None:
         start = time.perf_counter()
@@ -595,11 +606,15 @@ class _Handler(BaseHTTPRequestHandler):
         # our events into its own trace), else mint a fresh one.
         trace_id = (self.headers.get("X-Repro-Trace-Id") or "").strip() \
             or new_trace_id()
+        body_unread = False
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length else b""
+            body = self._read_body()
             status, content_type, payload = self.app.handle(
                 method, path, body, query=query, trace_id=trace_id)
+        except QueryError as bad:  # refused by _read_body, body unread
+            body_unread = True
+            status, content_type, payload = self.app._error(
+                str(bad), status=bad.status)
         except Exception as bad:  # never kill the handler thread
             status, content_type, payload = self.app._error(
                 f"internal error: {bad}", status=500)
@@ -608,12 +623,37 @@ class _Handler(BaseHTTPRequestHandler):
                          status=str(status))
         registry.observe("serve_latency_seconds",
                          time.perf_counter() - start, endpoint=endpoint)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.send_header("X-Repro-Trace-Id", trace_id)
-        self.end_headers()
-        self.wfile.write(payload)
+        # Stage head and body and send them as one write: end_headers()
+        # alone would put the head on the wire as its own segment.
+        wire, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(payload)))
+            self.send_header("X-Repro-Trace-Id", trace_id)
+            if body_unread:
+                # The next request's framing would start inside the
+                # unread body; send_header also sets close_connection.
+                self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(payload)
+            response = self.wfile.getvalue()
+        finally:
+            self.wfile = wire
+        wire.write(response)
+
+    def _read_body(self) -> bytes:
+        """The request body, read only once ``Content-Length`` is a
+        non-negative integer within ``_MAX_BODY_BYTES``; otherwise
+        ``QueryError`` (400) with the body left unread."""
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise QueryError(f"Content-Length must be a non-negative "
+                             f"integer, got {declared!r}", status=400)
+        length = int(declared)
+        if length > _MAX_BODY_BYTES:
+            raise QueryError(_BODY_TOO_LARGE, status=400)
+        return self.rfile.read(length) if length else b""
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler contract)
         self._respond("GET")

@@ -12,6 +12,9 @@ Byte parity with the CLI under concurrency lives in
 from __future__ import annotations
 
 import json
+import socket
+import statistics
+import struct
 import threading
 import time
 from http.client import HTTPConnection
@@ -317,6 +320,46 @@ class TestLiveDaemon:
             in text
         assert "# TYPE serve_latency_seconds histogram" in text
 
+    def test_keep_alive_responses_do_not_wait_on_delayed_ack(self, live):
+        """Over one persistent connection a cached response must not sit
+        behind the client's delayed ACK (40 ms minimum on Linux): a
+        20 ms median ceiling fails any Nagle stall and nothing else."""
+        connection = HTTPConnection(live.host, live.port, timeout=120.0)
+        body = json.dumps({"bundle": "live"}).encode("utf-8")
+
+        def median_ms(method: str, path: str, payload) -> float:
+            samples = []
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request(method, path, body=payload)
+                response = connection.getresponse()
+                response.read()
+                samples.append((time.perf_counter() - start) * 1e3)
+                assert response.status == 200
+            return statistics.median(samples)
+
+        try:
+            connection.request("POST", "/analyze", body=body)
+            connection.getresponse().read()  # warm the response cache
+            assert median_ms("POST", "/analyze", body) < 20.0
+            assert median_ms("GET", "/healthz", None) < 20.0
+        finally:
+            connection.close()
+
+    def test_client_hangup_is_not_a_traceback(self, live, capsys):
+        """A client that resets the connection before reading its answer
+        is a closed connection, not a socketserver traceback."""
+        with socket.create_connection((live.host, live.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(b"GET /debug/profile?seconds=0.2 HTTP/1.1\r\n"
+                         b"Host: x\r\n\r\n")
+            # Linger 0: close() sends RST, so the daemon's write fails.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+        time.sleep(0.5)
+        assert _http(live, "GET", "/healthz")[0] == 200
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_healthz_flips_to_503_on_drain_then_shutdown(self, bundle_dir):
         app = ServeApp({"d": bundle_dir})
         daemon = ServeDaemon(app).start_background()
@@ -331,6 +374,40 @@ class TestLiveDaemon:
             daemon.shutdown()
         with pytest.raises(OSError):
             _http(daemon, "GET", "/healthz")
+
+
+def _raw_exchange(daemon: ServeDaemon, head: bytes) -> bytes:
+    """Send raw request bytes and read until the daemon closes the
+    connection; the short timeout turns a hang into a failure."""
+    with socket.create_connection((daemon.host, daemon.port),
+                                  timeout=5.0) as sock:
+        sock.sendall(head)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestContentLength:
+    """A bad or oversized Content-Length is refused before any body is
+    read, and the connection closes so keep-alive framing stays sane."""
+
+    @pytest.mark.parametrize("declared, reason", [
+        (b"-1", b"non-negative integer"),   # read(-1) blocks until EOF
+        (b"ten", b"non-negative integer"),  # int() would raise
+        # Only the headers are sent: a daemon that reads the declared
+        # 10 MB before refusing it times the client out.
+        (b"10000000", b"request body exceeds"),
+    ])
+    def test_refused_unread_with_400(self, live, declared, reason):
+        response = _raw_exchange(
+            live, b"POST /analyze HTTP/1.1\r\nHost: x\r\n"
+                  b"Content-Length: " + declared + b"\r\n\r\n")
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["error"]["status"] == 400
+        assert reason in body
 
 
 class TestDebugEndpoints:
